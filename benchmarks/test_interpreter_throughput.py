@@ -4,20 +4,23 @@ The execute stage bounds the validation pipeline's cold-cache floor
 (up to 2M steps per program, per mutant, per experiment), so interpreter
 steps/sec is the substrate's core performance number.  This module:
 
-* benchmarks steps/sec per backend over four representative program
-  shapes (scalar loop-heavy, array traversal, directive-heavy, fault
-  path) so the perf trajectory is tracked from PR 2 on;
+* benchmarks steps/sec per backend over five representative program
+  shapes (scalar loop-heavy, 1-D array traversal, 2-D matmul,
+  directive-heavy, fault path) so the perf trajectory is tracked;
 * asserts the closure backend is >= 2x walk and the codegen backend is
   >= 2x closure on the scalar loop-heavy kernel (coarse CI guards with
   generous margin — locally closure/walk is 5-10x);
+* asserts both fast backends are >= 5x walk on the 2-D matmul kernel,
+  whose ``a[i][k]`` loads and ``c[i][j] +=`` stores take the fused
+  flat-offset element path (~9x closure, ~17x codegen on a 2-CPU host);
 * emits a text artifact plus machine-readable
   ``benchmarks/output/BENCH_interpreter.json`` with steps/sec per
   backend and the pairwise ratios.
 
-The array-traversal kernel is reported but not gated: element loads and
-stores go through the semantics helpers shared by closure and codegen
-alike, so the codegen/closure ratio there is structurally lower than on
-scalar arithmetic (observed ~1.9x vs ~2.4x).
+The 1-D array-traversal kernel is reported but not gated: its element
+loads and stores call the semantics helpers shared by closure and
+codegen alike, so the codegen/closure ratio there is structurally lower
+than on scalar arithmetic (observed ~1.9x vs ~2.4x).
 
 All backends must also produce byte-identical results here — the
 equivalence suite proper lives in ``tests/test_backend_equivalence.py``.
@@ -63,7 +66,11 @@ int main() {
 }
 """
 
-#: Reported but not gated: element access pays the shared
+#: CI guard: each fast backend must beat walk by at least this factor
+#: on the 2-D matmul kernel, measured in the same run
+MIN_MATMUL_2D_SPEEDUP = 5.0
+
+#: Reported but not gated: 1-D element access pays the shared
 #: _load_element/_store_* helpers in both fast backends.
 ARRAY_TRAVERSAL = r"""
 #include <stdio.h>
@@ -77,6 +84,39 @@ int main() {
         for (int i = 0; i < N; i++) { s += c[i]; }
     }
     printf("s=%f\n", s);
+    return 0;
+}
+"""
+
+#: Gated: 2-D ``double`` arrays — the corpus's matmul shape, two fused
+#: ``a[i][k] * b[k][j]`` loads per inner step plus a ``c[i][j] +=``
+#: compound store per output cell.
+MATMUL_2D = r"""
+#include <stdio.h>
+#define M 24
+int main() {
+    double a[M][M]; double b[M][M]; double c[M][M];
+    for (int i = 0; i < M; i++) {
+        for (int j = 0; j < M; j++) {
+            a[i][j] = (i + j) % 7;
+            b[i][j] = (i * j) % 5;
+            c[i][j] = 0.0;
+        }
+    }
+    for (int i = 0; i < M; i++) {
+        for (int j = 0; j < M; j++) {
+            double s = 0.0;
+            for (int k = 0; k < M; k++) {
+                s += a[i][k] * b[k][j];
+            }
+            c[i][j] += s;
+        }
+    }
+    double t = 0.0;
+    for (int i = 0; i < M; i++) {
+        for (int j = 0; j < M; j++) { t += c[i][j]; }
+    }
+    printf("t=%f\n", t);
     return 0;
 }
 """
@@ -121,6 +161,7 @@ int main() {
 PROGRAMS = {
     "loop_heavy": LOOP_HEAVY,
     "array_traversal": ARRAY_TRAVERSAL,
+    "matmul_2d": MATMUL_2D,
     "directive_heavy": DIRECTIVE_HEAVY,
     "fault_path": FAULT_PATH,
 }
@@ -167,10 +208,11 @@ def test_interpreter_throughput(benchmark, compiled_programs, program, backend):
 
 
 def test_backend_speedups(compiled_programs, emit_artifact):
-    """The perf gate: closure >= 2x walk and codegen >= 2x closure on
-    the scalar loop-heavy kernel, with byte-identical results across
-    every backend on every measured program.  Also writes the
-    machine-readable BENCH_interpreter.json artifact."""
+    """The perf gates: closure >= 2x walk and codegen >= 2x closure on
+    the scalar loop-heavy kernel, closure and codegen >= 5x walk on the
+    2-D matmul kernel, with byte-identical results (step counts
+    included) across every backend on every measured program.  Also
+    writes the machine-readable BENCH_interpreter.json artifact."""
     executors = {b: Executor(step_limit=10_000_000, backend=b)
                  for b in EXECUTION_BACKENDS}
     lines = ["Interpreter throughput across execution backends:"]
@@ -217,6 +259,14 @@ def test_backend_speedups(compiled_programs, emit_artifact):
         "codegen_vs_closure_loop_heavy": {
             "minimum": MIN_CODEGEN_SPEEDUP,
             "measured": matrix["loop_heavy"]["ratios"]["codegen_vs_closure"],
+        },
+        "closure_vs_walk_matmul_2d": {
+            "minimum": MIN_MATMUL_2D_SPEEDUP,
+            "measured": matrix["matmul_2d"]["ratios"]["closure_vs_walk"],
+        },
+        "codegen_vs_walk_matmul_2d": {
+            "minimum": MIN_MATMUL_2D_SPEEDUP,
+            "measured": matrix["matmul_2d"]["ratios"]["codegen_vs_walk"],
         },
     }
     payload = {

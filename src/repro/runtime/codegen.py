@@ -23,7 +23,7 @@ Two-stage shape, mirroring ``lower_unit``:
 
 Semantics are **shared**, not re-implemented: generated code calls the
 same helper layer the closure backend uses (``combine_binary``,
-``_load_element``/``_store_target``/``_store_value``, ``_SlotRef`` /
+``_element_target``/``_load_element``/``_store_value``, ``_SlotRef`` /
 ``_VarRef`` / ``_PtrRef``, ``coerce_to_type`` …), and the directive
 machinery (pre-parsed clause plans, ``make_action(rt, construct)``
 factories) is inherited verbatim from ``compilebody._Lowerer`` —
@@ -60,12 +60,17 @@ from repro.runtime.compilebody import (
     _S32,
     _SlotRef,
     _coerce_kind,
+    _element_target,
+    _element_target_2d,
     _load_element,
     _parse_clause_expr,
     _passthrough_action,
+    _read_cell,
     _static_flatten,
     _store_target,
     _store_value,
+    _uninit_subscript,
+    _update_cell,
 )
 from repro.runtime.interpreter import (
     RuntimeFault,
@@ -82,7 +87,6 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.values import (
     CArray,
-    MemoryFault,
     Pointer,
     UNINIT,
     coerce_to_type,
@@ -103,7 +107,6 @@ _HELPERS = {
     "_BRK": _BreakSignal,
     "_CNT": _ContinueSignal,
     "_RET": _ReturnSignal,
-    "_MF": MemoryFault,
     "_segv": segv_fault,
     "_truthy": truthy,
     "_coerce": coerce_to_type,
@@ -116,6 +119,11 @@ _HELPERS = {
     "_load_element": _load_element,
     "_store_target": _store_target,
     "_store_value": _store_value,
+    "_element_target": _element_target,
+    "_element_target_2d": _element_target_2d,
+    "_read_cell": _read_cell,
+    "_update_cell": _update_cell,
+    "_uninit_subscript": _uninit_subscript,
     "_SlotRef": _SlotRef,
     "_VarRef": _VarRef,
     "_PtrRef": _PtrRef,
@@ -140,6 +148,9 @@ _HOT_DEFAULTS = ", ".join(
         "_load_element",
         "_store_target",
         "_store_value",
+        "_element_target_2d",
+        "_read_cell",
+        "_update_cell",
     )
 )
 
@@ -1000,8 +1011,10 @@ class _FnEmitter(_Lowerer):
                 if binding is not None:
                     return self._emit_slot_assign(binding, target, expr.value)
                 return self._emit_global_assign(target.name, expr.value)
-            if isinstance(target, ast.Index) and not isinstance(target.base, ast.Index):
-                return self._emit_index_assign(target, expr.value)
+            if isinstance(target, ast.Index):
+                if not isinstance(target.base, ast.Index):
+                    return self._emit_index_assign(target, expr.value)
+                return self._emit_element_assign(target, None, expr.value)
             self.tick()
             ref = self.emit_lvalue(target)
             v = self.bind_ro(self.emit_expr(expr.value))
@@ -1012,6 +1025,8 @@ class _FnEmitter(_Lowerer):
             binding = self.resolve(target.name)
             if binding is not None:
                 return self._emit_slot_compound(binding, target, binop, expr.value)
+        if isinstance(target, ast.Index):
+            return self._emit_element_assign(target, binop, expr.value)
         self.tick()
         ref = self.emit_lvalue(target)
         v = self.bind_ro(self.emit_expr(expr.value))
@@ -1116,12 +1131,8 @@ class _FnEmitter(_Lowerer):
         dest_s = ", ".join(dest)
         if base_plan is not None and base_plan[0] == "slot" and index_plan is not None:
             # Assignment + index + base = 3 pure ticks, batched
+            i = self._fused_subscript(index_plan, 2)
             self.tick3()
-            index_kind, index_val = index_plan
-            if index_kind == "const":
-                i = self.literal(int(index_val))
-            else:
-                i = self._emit_subscript_int(f"frame[{index_val}]")
             self.w(f"{dest_s} = _store_target(frame[{base_plan[1]}], {i})")
         else:
             self.tick()
@@ -1142,6 +1153,70 @@ class _FnEmitter(_Lowerer):
         self.w(f"    {i} = int({i})")
         return i
 
+    def _fused_subscript(self, plan, lead: int) -> str:
+        """Int atom for a fused access's slot/constant subscript.
+
+        Checked *before* the access's tick batch is accrued, with pure
+        lines that sit inside whatever batch is pending: the branch
+        charges nothing unless the subscript is UNINIT, and then charges
+        the pending ticks plus ``lead`` — the walker's count when it
+        sees that subscript — before raising.
+        """
+        kind, value = plan
+        if kind == "const":
+            return self.literal(int(value))
+        i = self.bind(f"frame[{value}]")
+        self.wp(f"if {i}.__class__ is not int:")
+        self.wp(f"    if {i} is _UNINIT:")
+        self.wp(f"        raise _uninit_subscript(st, L, {self.pending + lead})")
+        self.wp(f"    {i} = int({i})")
+        return i
+
+    def _emit_fused_2d_head(self, plan) -> tuple[str, str]:
+        """Subscript atoms of a fused ``a[i][j]`` (node + j + i + base =
+        4 pure ticks, accrued as one batch after both are checked)."""
+        _, i_plan, j_plan = plan
+        j = self._fused_subscript(j_plan, 2)
+        i = self._fused_subscript(i_plan, 3)
+        self.pending += 4
+        return i, j
+
+    def _emit_element_target(self, expr: ast.Index) -> str:
+        """Index chain → atom holding its flat ``_element_target`` tuple
+        (walker order: subscripts innermost first, then the base)."""
+        subscripts = []
+        node: ast.Expr = expr
+        while isinstance(node, ast.Index):
+            v = self.bind(self.emit_expr(node.index))
+            self.w(f"if {v} is _UNINIT:")
+            self.w("    raise _segv('array subscript is uninitialized')")
+            subscripts.append(f"int({v})")
+            node = node.base
+        base = self.bind(self.emit_expr(node))
+        t = self.tmp()
+        self.w(f"{t} = _element_target({base}, ({', '.join(reversed(subscripts))},))")
+        return t
+
+    def _emit_element_assign(self, target: ast.Index, binop, value: ast.Expr) -> str:
+        """``target = value`` (``binop`` None) or ``target op= value``
+        through the flat element target (closure `_lower_element_assign`)."""
+        dest = [self.tmp() for _ in range(4)]
+        dest_s = ", ".join(dest)
+        plan = self._fused_2d_plan(target)
+        if plan is not None:
+            i, j = self._emit_fused_2d_head(plan)
+            self.w(f"{dest_s} = _element_target_2d(frame[{plan[0]}], {i}, {j})")
+        else:
+            self.tick()
+            self.w(f"{dest_s} = {self._emit_element_target(target)}")
+        v = self.bind_ro(self.emit_expr(value))
+        if binop is None:
+            self.w(f"_store_value({dest_s}, {v})")
+            return v
+        t = self.tmp()
+        self.w(f"{t} = _update_cell({dest_s}, {binop!r}, {v})")
+        return t
+
     # -- index loads -------------------------------------------------------
 
     def _emit_index_load(self, expr: ast.Index) -> str:
@@ -1155,12 +1230,8 @@ class _FnEmitter(_Lowerer):
             t = self.tmp()
             if base_plan is not None and base_plan[0] == "slot" and index_plan is not None:
                 # fused superinstruction: Index + index + base = 3 ticks
+                i = self._fused_subscript(index_plan, 2)
                 self.tick3()
-                index_kind, index_val = index_plan
-                if index_kind == "const":
-                    i = self.literal(int(index_val))
-                else:
-                    i = self._emit_subscript_int(f"frame[{index_val}]")
                 self.w(f"{t} = _load_element(frame[{base_plan[1]}], {i})")
                 return t
             self.tick()
@@ -1169,44 +1240,33 @@ class _FnEmitter(_Lowerer):
             base = self.emit_expr(expr.base)
             self.w(f"{t} = _load_element({base}, {i})")
             return t
-        self.tick()
-        ref = self._emit_index_ref(expr)
-        loaded = self.tmp()
         t = self.tmp()
-        self.w(f"{loaded} = {ref}.load()")
-        self.w(f"{t} = 0 if {loaded} is _UNINIT else {loaded}")
+        plan = self._fused_2d_plan(expr)
+        if plan is None:
+            self.tick()
+            self.w(f"{t} = _read_cell(*{self._emit_element_target(expr)})")
+            return t
+        i, j = self._emit_fused_2d_head(plan)
+        b = self.bind(f"frame[{plan[0]}]")
+        d = self.tmp()
+        self.w(f"{d} = {b}.dims if {b}.__class__ is _CArray else ()")
+        self.w(
+            f"if len({d}) == 2 and 0 <= {i} < {d}[0] and 0 <= {j} < {d}[1]"
+            f" and not {b}.block.freed:"
+        )
+        self.w(f"    {t} = {b}.block.cells.get(({i} * {d}[1] + {j}) * {b}.elem_size, 0)")
+        self.w(f"    if {t} is _UNINIT:")
+        self.w(f"        {t} = 0")
+        self.w("else:")
+        self.w(f"    {t} = _read_cell(*_element_target({b}, ({i}, {j})))")
         return t
 
     def _emit_index_ref(self, expr: ast.Index) -> str:
-        """Generic index chain → ``_PtrRef`` (mirrors ``_resolve_index``)."""
-        indices = self.tmp()
-        self.w(f"{indices} = []")
-        node: ast.Expr = expr
-        while isinstance(node, ast.Index):
-            v = self.bind(self.emit_expr(node.index))
-            self.w(f"if {v} is _UNINIT:")
-            self.w("    raise _segv('array subscript is uninitialized')")
-            self.w(f"{indices}.append(int({v}))")
-            node = node.base
-        self.w(f"{indices}.reverse()")
-        base = self.bind(self.emit_expr(node))
+        """Index chain → ``_PtrRef`` for reference uses (``&a[i][j]``,
+        ``++``/``--``); loads and stores go through the flat target."""
+        target = self._emit_element_target(expr)
         ref = self.tmp()
-        self.w(f"if {base} is _UNINIT or {base} is None or {base} == 0:")
-        self.w("    raise _segv('subscript of NULL or uninitialized pointer')")
-        self.w(f"{ref} = None")
-        self.w("try:")
-        self.w(f"    if isinstance({base}, _CArray):")
-        self.w(f"        {ref} = _PtrRef({base}.subarray_pointer({indices}))")
-        self.w(f"    elif isinstance({base}, _Pointer):")
-        ptr = self.tmp()
-        self.w(f"        {ptr} = {base}")
-        self.w(f"        for _i in {indices}:")
-        self.w(f"            {ptr} = {ptr}.index(_i)")
-        self.w(f"        {ref} = _PtrRef({ptr})")
-        self.w("except _MF as _exc:")
-        self.w("    raise _segv(str(_exc)) from _exc")
-        self.w(f"if {ref} is None:")
-        self.w("    raise _segv('subscript applied to a non-array value')")
+        self.w(f"{ref} = _PtrRef(_Pointer({target}[0], {target}[1], {target}[3]))")
         return ref
 
     # -- lvalues -----------------------------------------------------------

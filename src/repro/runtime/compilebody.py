@@ -66,7 +66,6 @@ from repro.runtime.interpreter import (
 from repro.runtime.values import (
     CArray,
     HeapBlock,
-    MemoryFault,
     Pointer,
     UNINIT,
     coerce_to_type,
@@ -249,74 +248,123 @@ _CMP_FNS = {
 _ARITH_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
+def _uninit_subscript(st, limit, ticks: int) -> RuntimeFault:
+    """Fault for an uninitialized subscript inside a fused access.
+
+    Fused forms check their subscripts *before* charging their tick
+    batch; ``ticks`` is what the walker has charged when it sees the bad
+    subscript (the node, then each subscript so far, innermost first).
+    Charging them here — pinned at ``limit + 1`` on overflow, as every
+    batch is — gives the fault the walker's step count.
+    """
+    st[0] = n = st[0] + ticks
+    if n > limit:
+        st[0] = limit + 1
+        raise StepLimitExceeded(limit)
+    return segv_fault("array subscript is uninitialized")
+
+
+def _fused_subscripts(st, limit, i, j):
+    """Normalize the subscripts of a fused ``a[i][j]`` whose operands
+    are not both ints, in the walker's order: ``j`` is checked after
+    the node's and its own tick, ``i`` one tick later."""
+    if j is UNINIT:
+        raise _uninit_subscript(st, limit, 2)
+    j = int(j)
+    if i is UNINIT:
+        raise _uninit_subscript(st, limit, 3)
+    return int(i), j
+
+
+def _element_target(base, indices):
+    """Resolve ``base[i0][i1]...`` to ``(block, byte_offset, elem_size,
+    elem_type)`` — the flat-offset form of the walker's
+    ``_resolve_index`` after its subscripts are evaluated.
+
+    Same checks, fault messages and order: NULL base, too many
+    subscripts, then per-dimension bounds (``CArray.subarray_pointer``);
+    a ``Pointer`` base adds every subscript in elements.  Freed-block
+    and byte-range checks stay with the access (:func:`_read_cell`,
+    :func:`_store_value`), where ``block.load``/``block.store`` make
+    them in the walker.  No ``Pointer`` is allocated.
+    """
+    if base.__class__ is CArray:
+        dims = base.dims
+        if len(indices) > len(dims):
+            raise segv_fault("too many subscripts for array")
+        flat = 0
+        for idx, dim in zip(indices, dims):
+            if idx < 0 or idx >= dim:
+                raise segv_fault(
+                    f"array index {idx} out of bounds for dimension of size {dim}"
+                )
+            flat = flat * dim + idx
+        for dim in dims[len(indices):]:
+            flat *= dim  # a partial subscript addresses its row's first element
+        elem_size = base.elem_size
+        return (base.block, flat * elem_size, elem_size, base.elem_type)
+    if base.__class__ is Pointer:
+        elem_size = base.elem_size
+        return (
+            base.block, base.byte_offset + sum(indices) * elem_size, elem_size, base.pointee
+        )
+    if base is UNINIT or base is None or base == 0:
+        raise segv_fault("subscript of NULL or uninitialized pointer")
+    raise segv_fault("subscript applied to a non-array value")
+
+
+def _element_target_2d(base, i: int, j: int):
+    """:func:`_element_target` for ``base[i][j]``, with the in-range
+    2-D array case computed inline as ``i * d1 + j``."""
+    if base.__class__ is CArray:
+        dims = base.dims
+        if len(dims) == 2 and 0 <= i < dims[0] and 0 <= j < dims[1]:
+            elem_size = base.elem_size
+            return (base.block, (i * dims[1] + j) * elem_size, elem_size, base.elem_type)
+    return _element_target(base, (i, j))
+
+
+def _read_cell(block, offset: int, elem_size: int, _elem_type=None):
+    """Checked read of one element (``block.load``), UNINIT → 0; takes
+    an :func:`_element_target` tuple as ``_read_cell(*target)``."""
+    if block.freed:
+        raise RuntimeFault(f"read from freed {block.label} block", 139, _SEGV_STDERR)
+    if offset < 0 or offset + elem_size > block.size:
+        raise RuntimeFault(
+            f"out-of-bounds read at byte {offset} of {block.size}-byte "
+            f"{block.label} block",
+            139,
+            _SEGV_STDERR,
+        )
+    value = block.cells.get(offset, 0)
+    return 0 if value is UNINIT else value
+
+
 def _load_element(base, i: int):
     """``base[i]`` for a single subscript — mirrors the walker's
     resolve-then-load exactly (checks, fault messages, UNINIT → 0)."""
-    if base is UNINIT or base is None or base == 0:
-        raise segv_fault("subscript of NULL or uninitialized pointer")
     if base.__class__ is CArray:
         dims = base.dims
-        if len(dims) == 1:
-            if 0 <= i < dims[0]:
-                block = base.block
-                if block.freed:
-                    raise RuntimeFault(
-                        f"read from freed {block.label} block", 139, _SEGV_STDERR
-                    )
-                value = block.cells.get(i * base.elem_size, 0)
-                return 0 if value is UNINIT else value
-            raise segv_fault(
-                f"array index {i} out of bounds for dimension of size {dims[0]}"
-            )
-        try:
-            ptr = base.subarray_pointer([i])
-        except MemoryFault as exc:
-            raise segv_fault(str(exc)) from exc
-        try:
-            value = ptr.load()
-        except MemoryFault as exc:
-            raise RuntimeFault(str(exc), 139, _SEGV_STDERR) from exc
-        return 0 if value is UNINIT else value
-    if base.__class__ is Pointer:
+        if len(dims) == 1 and 0 <= i < dims[0]:
+            block = base.block
+            if block.freed:
+                raise RuntimeFault(f"read from freed {block.label} block", 139, _SEGV_STDERR)
+            value = block.cells.get(i * base.elem_size, 0)
+            return 0 if value is UNINIT else value
+    elif base.__class__ is Pointer:
         elem_size = base.elem_size
-        offset = base.byte_offset + i * elem_size
-        block = base.block
-        if block.freed:
-            raise RuntimeFault(f"read from freed {block.label} block", 139, _SEGV_STDERR)
-        if offset < 0 or offset + elem_size > block.size:
-            raise RuntimeFault(
-                f"out-of-bounds read at byte {offset} of {block.size}-byte "
-                f"{block.label} block",
-                139,
-                _SEGV_STDERR,
-            )
-        value = block.cells.get(offset, 0)
-        return 0 if value is UNINIT else value
-    raise segv_fault("subscript applied to a non-array value")
+        return _read_cell(base.block, base.byte_offset + i * elem_size, elem_size)
+    return _read_cell(*_element_target(base, (i,)))
 
 
 def _store_target(base, i: int):
     """Resolve ``base[i]`` as a store destination → (block, offset,
     elem_size, elem_type); raises exactly like the walker's resolve."""
-    if base is UNINIT or base is None or base == 0:
-        raise segv_fault("subscript of NULL or uninitialized pointer")
     if base.__class__ is CArray:
         dims = base.dims
-        if len(dims) == 1:
-            if 0 <= i < dims[0]:
-                return (base.block, i * base.elem_size, base.elem_size, base.elem_type)
-            raise segv_fault(
-                f"array index {i} out of bounds for dimension of size {dims[0]}"
-            )
-        try:
-            ptr = base.subarray_pointer([i])
-        except MemoryFault as exc:
-            raise segv_fault(str(exc)) from exc
-        return (ptr.block, ptr.byte_offset, ptr.elem_size, ptr.pointee)
-    if base.__class__ is Pointer:
-        elem_size = base.elem_size
-        return (base.block, base.byte_offset + i * elem_size, elem_size, base.pointee)
-    raise segv_fault("subscript applied to a non-array value")
+        if len(dims) == 1 and 0 <= i < dims[0]:
+            return (base.block, i * base.elem_size, base.elem_size, base.elem_type)
+    return _element_target(base, (i,))
 
 
 def _store_value(block, offset: int, elem_size: int, elem_type, value) -> None:
@@ -345,6 +393,22 @@ def _store_value(block, offset: int, elem_size: int, elem_type, value) -> None:
             _SEGV_STDERR,
         )
     block.cells[offset] = stored
+
+
+def _update_cell(block, offset: int, elem_size: int, elem_type, binop: str, value):
+    """``target op= value`` once the target is resolved and the
+    right-hand side evaluated: checked read (UNINIT → 0), combine,
+    coerce-and-store — the walker's compound ``ref.load``/``ref.store``."""
+    old = _read_cell(block, offset, elem_size)
+    arith = _ARITH_FNS.get(binop)
+    oc = old.__class__
+    vc = value.__class__
+    if arith is not None and (oc is int or oc is float) and (vc is int or vc is float):
+        combined = arith(old, value)
+    else:
+        combined = combine_compound(binop, old, value)
+    _store_value(block, offset, elem_size, elem_type, combined)
+    return combined
 
 
 def _static_flatten(init: ast.InitList) -> list[ast.Expr]:
@@ -1344,8 +1408,10 @@ class _Lowerer:
                 if binding is not None:
                     return self._lower_slot_assign(binding, target, value_m)
                 return self._lower_global_assign(target.name, value_m)
-            if isinstance(target, ast.Index) and not isinstance(target.base, ast.Index):
-                return self._lower_index_assign(target, value_m)
+            if isinstance(target, ast.Index):
+                if not isinstance(target.base, ast.Index):
+                    return self._lower_index_assign(target, value_m)
+                return self._lower_element_assign(target, None, value_m)
             lvalue_m = self.lower_lvalue(target)
 
             def make(rt):
@@ -1371,6 +1437,8 @@ class _Lowerer:
             binding = self.resolve(target.name)
             if binding is not None:
                 return self._lower_slot_compound(binding, target, binop, value_m)
+        if isinstance(target, ast.Index):
+            return self._lower_element_assign(target, binop, value_m)
         lvalue_m = self.lower_lvalue(target)
 
         def make(rt):
@@ -1535,19 +1603,19 @@ class _Lowerer:
                 value_c = value_m(rt)
 
                 def run(frame):
-                    # Assignment + index + base = 3 pure ticks, batched
-                    st[0] = n = st[0] + 3
-                    if n > limit:
-                        st[0] = limit + 1
-                        raise StepLimitExceeded(limit)
                     if const_i is not None:
                         i = const_i
                     else:
                         i = frame[index_slot]
                         if i.__class__ is not int:
                             if i is UNINIT:
-                                raise segv_fault("array subscript is uninitialized")
+                                raise _uninit_subscript(st, limit, 2)
                             i = int(i)
+                    # Assignment + index + base = 3 pure ticks, batched
+                    st[0] = n = st[0] + 3
+                    if n > limit:
+                        st[0] = limit + 1
+                        raise StepLimitExceeded(limit)
                     block, offset, elem_size, elem_type = _store_target(
                         frame[base_slot], i
                     )
@@ -1643,15 +1711,15 @@ class _Lowerer:
                     st, limit = rt.steps, rt.limit
 
                     def run(frame):
+                        i = frame[index_slot]
+                        if i.__class__ is not int:
+                            if i is UNINIT:
+                                raise _uninit_subscript(st, limit, 2)
+                            i = int(i)
                         st[0] = n = st[0] + 3
                         if n > limit:
                             st[0] = limit + 1
                             raise StepLimitExceeded(limit)
-                        i = frame[index_slot]
-                        if i.__class__ is not int:
-                            if i is UNINIT:
-                                raise segv_fault("array subscript is uninitialized")
-                            i = int(i)
                         return _load_element(frame[base_slot], i)
 
                     return run
@@ -1679,25 +1747,45 @@ class _Lowerer:
                 return run
 
             return make
-        ref_m = self._lower_index_ref(expr)
+        plan = self._fused_2d_plan(expr)
+        if plan is not None:
+            return _lower_fused_2d_load(plan)
+        target_m = self._lower_element_target(expr)
 
         def make(rt):
             st, limit = rt.steps, rt.limit
-            ref_c = ref_m(rt)
+            target_c = target_m(rt)
 
             def run(frame):
                 st[0] = n = st[0] + 1
                 if n > limit:
                     raise StepLimitExceeded(limit)
-                value = ref_c(frame).load()
-                return 0 if value is UNINIT else value
+                return _read_cell(*target_c(frame))
 
             return run
 
         return make
 
-    def _lower_index_ref(self, expr: ast.Index):
-        """Generic index chain → ``_PtrRef`` (mirrors ``_resolve_index``)."""
+    def _fused_2d_plan(self, expr: ast.Index):
+        """``(base_slot, i_plan, j_plan)`` for an ``a[i][j]`` whose base
+        is a frame slot and whose subscripts are slots or constants
+        (:meth:`_simple_operand` plans), else None.  Only these operands
+        are pure, so only these may join a fused access's tick batch."""
+        inner = expr.base
+        if not (isinstance(inner, ast.Index) and isinstance(inner.base, ast.Identifier)):
+            return None
+        base_plan = self._simple_operand(inner.base)
+        i_plan = self._simple_operand(inner.index)
+        j_plan = self._simple_operand(expr.index)
+        if base_plan is None or base_plan[0] != "slot" or i_plan is None or j_plan is None:
+            return None
+        return base_plan[1], i_plan, j_plan
+
+    def _lower_element_target(self, expr: ast.Index):
+        """Index chain → ``run(frame)`` returning the flat
+        :func:`_element_target` tuple.  Subscripts evaluate innermost
+        first, then the base — the walker's ``_resolve_index`` order;
+        the caller charges the node's own tick."""
         index_makers = []
         node: ast.Expr = expr
         while isinstance(node, ast.Index):
@@ -1706,7 +1794,6 @@ class _Lowerer:
         base_m = self.lower_expr(node)
 
         def make(rt):
-            st, limit = rt.steps, rt.limit
             index_cs = tuple(m(rt) for m in index_makers)
             base_c = base_m(rt)
 
@@ -1718,20 +1805,81 @@ class _Lowerer:
                         raise segv_fault("array subscript is uninitialized")
                     indices.append(int(value))
                 indices.reverse()
-                base = base_c(frame)
-                if base is UNINIT or base is None or base == 0:
-                    raise segv_fault("subscript of NULL or uninitialized pointer")
-                try:
-                    if isinstance(base, CArray):
-                        return _PtrRef(base.subarray_pointer(indices))
-                    if isinstance(base, Pointer):
-                        ptr = base
-                        for i in indices:
-                            ptr = ptr.index(i)
-                        return _PtrRef(ptr)
-                except MemoryFault as exc:
-                    raise segv_fault(str(exc)) from exc
-                raise segv_fault("subscript applied to a non-array value")
+                return _element_target(base_c(frame), indices)
+
+            return run
+
+        return make
+
+    def _lower_element_assign(self, target: ast.Index, binop, value_m):
+        """``target = value`` (``binop`` None) or ``target op= value``
+        through the flat element target.  Walker order: resolve the
+        destination, evaluate the right-hand side, then (compound) load,
+        combine, and coerce-and-store."""
+        plan = self._fused_2d_plan(target)
+        if plan is not None:
+            base_slot = plan[0]
+            (i_slot, i_const), (j_slot, j_const) = map(_slot_or_const, plan[1:])
+
+            def make(rt):
+                st, limit = rt.steps, rt.limit
+                value_c = value_m(rt)
+
+                def run(frame):
+                    i = frame[i_slot] if i_slot is not None else i_const
+                    j = frame[j_slot] if j_slot is not None else j_const
+                    if i.__class__ is not int or j.__class__ is not int:
+                        i, j = _fused_subscripts(st, limit, i, j)
+                    # Assignment + j + i + base = 4 pure ticks, batched
+                    st[0] = n = st[0] + 4
+                    if n > limit:
+                        st[0] = limit + 1
+                        raise StepLimitExceeded(limit)
+                    block, offset, elem_size, elem_type = _element_target_2d(
+                        frame[base_slot], i, j
+                    )
+                    value = value_c(frame)
+                    if binop is None:
+                        _store_value(block, offset, elem_size, elem_type, value)
+                        return value
+                    return _update_cell(block, offset, elem_size, elem_type, binop, value)
+
+                return run
+
+            return make
+        target_m = self._lower_element_target(target)
+
+        def make(rt):
+            st, limit = rt.steps, rt.limit
+            target_c = target_m(rt)
+            value_c = value_m(rt)
+
+            def run(frame):
+                st[0] = n = st[0] + 1
+                if n > limit:
+                    raise StepLimitExceeded(limit)
+                block, offset, elem_size, elem_type = target_c(frame)
+                value = value_c(frame)
+                if binop is None:
+                    _store_value(block, offset, elem_size, elem_type, value)
+                    return value
+                return _update_cell(block, offset, elem_size, elem_type, binop, value)
+
+            return run
+
+        return make
+
+    def _lower_index_ref(self, expr: ast.Index):
+        """Index chain → ``_PtrRef`` for reference uses (``&a[i][j]``,
+        ``++``/``--``); loads and stores go through the flat target."""
+        target_m = self._lower_element_target(expr)
+
+        def make(rt):
+            target_c = target_m(rt)
+
+            def run(frame):
+                block, offset, _, elem_type = target_c(frame)
+                return _PtrRef(Pointer(block, offset, elem_type))
 
             return run
 
@@ -2174,6 +2322,49 @@ class _Lowerer:
 # ---------------------------------------------------------------------------
 # small shared builders
 # ---------------------------------------------------------------------------
+
+
+def _slot_or_const(plan):
+    """``(slot, None)`` or ``(None, int constant)`` for a subscript
+    operand plan of :meth:`_Lowerer._simple_operand`."""
+    kind, value = plan
+    return (value, None) if kind == "slot" else (None, int(value))
+
+
+def _lower_fused_2d_load(plan):
+    """Fused ``a[i][j]`` load: Index + j + i + base = 4 pure ticks,
+    batched once both subscripts are known to be ints, with the
+    in-range 2-D array read inline and every other case (partial or
+    excess subscripts, out of range, Pointer base, freed block) left to
+    the resolver's checks and fault messages."""
+    base_slot = plan[0]
+    (i_slot, i_const), (j_slot, j_const) = map(_slot_or_const, plan[1:])
+
+    def make(rt):
+        st, limit = rt.steps, rt.limit
+
+        def run(frame):
+            i = frame[i_slot] if i_slot is not None else i_const
+            j = frame[j_slot] if j_slot is not None else j_const
+            if i.__class__ is not int or j.__class__ is not int:
+                i, j = _fused_subscripts(st, limit, i, j)
+            st[0] = n = st[0] + 4
+            if n > limit:
+                st[0] = limit + 1
+                raise StepLimitExceeded(limit)
+            base = frame[base_slot]
+            if base.__class__ is CArray:
+                dims = base.dims
+                if len(dims) == 2 and 0 <= i < dims[0] and 0 <= j < dims[1]:
+                    block = base.block
+                    if not block.freed:
+                        value = block.cells.get((i * dims[1] + j) * base.elem_size, 0)
+                        return 0 if value is UNINIT else value
+            return _read_cell(*_element_target(base, (i, j)))
+
+        return run
+
+    return make
 
 
 def _lower_fused_binary(op: str, left_plan, right_plan):

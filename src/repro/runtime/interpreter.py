@@ -24,10 +24,10 @@ Three execution backends share these semantics:
   executable spec;
 * ``"closure"`` — :mod:`repro.runtime.compilebody` lowers each function
   body once into nested Python closures with slot-resolved locals and
-  runs those instead; 5-10x faster on the hot path;
+  runs those instead; 5-10x faster than walk;
 * ``"codegen"`` — :mod:`repro.runtime.codegen` emits each function body
   as Python source, compiles it to a real code object once per unit and
-  binds it per run; ~2x faster again on loop-heavy code.
+  binds it per run; 1-3x faster again (most on scalar loops).
 
 All backends must produce byte-identical observables (return code,
 stdout, stderr, *and* step counts); the arithmetic/pointer helpers are
@@ -73,7 +73,7 @@ EXECUTION_BACKENDS = ("walk", "closure", "codegen")
 BACKEND_SUMMARIES = {
     "walk": "tree-walking reference evaluator, the executable spec",
     "closure": "lowered closures, 5-10x faster than walk",
-    "codegen": "generated Python code objects, ~2x faster than closure",
+    "codegen": "generated Python code objects, 1-3x faster than closure",
 }
 
 #: Default backend for new interpreters/executors.  The closure backend

@@ -396,3 +396,221 @@ class TestFaultEquivalence:
         """)
         assert result.returncode == 139
         assert result.stdout == "before\n"
+
+
+# ----------------------------------------------------------------------
+# multi-dimensional subscripts (flat element targets, fused a[i][j])
+# ----------------------------------------------------------------------
+
+
+def _fault_of(source: str, step_limit: int = 2_000_000) -> ExecutionResult:
+    result = assert_identical(source, step_limit=step_limit)
+    assert result.returncode == 139, result
+    return result
+
+
+class TestMultiDimEquivalence:
+    """Every path a subscript chain can take in the fast backends — the
+    fused slot/constant ``a[i][j]`` form, the generic chain, and the
+    reference form behind ``&`` — against the walker's fault text,
+    fault order and step count."""
+
+    @pytest.mark.parametrize("subscripts,fault", [
+        ("[i][4]", "array index 4 out of bounds for dimension of size 4"),
+        ("[3][j]", "array index 3 out of bounds for dimension of size 3"),
+        ("[i][n]", "array index -1 out of bounds for dimension of size 4"),
+        ("[n][j]", "array index -1 out of bounds for dimension of size 3"),
+        ("[i + 2][j]", "array index 3 out of bounds for dimension of size 3"),
+        ("[i][j * 5]", "array index 5 out of bounds for dimension of size 4"),
+        # both out of range: the outer dimension is reported first
+        ("[7][9]", "array index 7 out of bounds for dimension of size 3"),
+    ])
+    @pytest.mark.parametrize("access", ["load", "store", "compound"])
+    def test_out_of_bounds_each_dimension(self, subscripts, fault, access):
+        statement = {
+            "load": f"return (int) m{subscripts};",
+            "store": f"m{subscripts} = 2.0; return 0;",
+            "compound": f"m{subscripts} += 2.0; return 0;",
+        }[access]
+        result = _fault_of(f"""
+            int main() {{
+                double m[3][4]; int i = 1; int j = 1; int n = -1;
+                {statement}
+            }}
+        """)
+        assert result.fault == fault
+
+    @pytest.mark.parametrize("statement", [
+        "return m[i][j][0];",
+        "m[i][j][0] = 1; return 0;",
+        "m[i][j][k] += 1; return 0;",
+        "return m[0][0][0][0];",
+    ])
+    def test_too_many_subscripts(self, statement):
+        result = _fault_of(f"""
+            int main() {{
+                int m[3][4]; int i = 1; int j = 2; int k = 0;
+                {statement}
+            }}
+        """)
+        assert result.fault == "too many subscripts for array"
+
+    def test_too_many_subscripts_reported_before_bounds(self):
+        result = _fault_of("int main() { int m[3][4]; return m[9][9][9]; }")
+        assert result.fault == "too many subscripts for array"
+
+    def test_partial_subscript_load_and_store(self):
+        # a[i] on a 2-D array addresses the first element of row i
+        result = assert_identical(r"""
+            #include <stdio.h>
+            int main() {
+                int a[3][4]; int i = 2;
+                for (int r = 0; r < 3; r++)
+                    for (int c = 0; c < 4; c++) a[r][c] = r * 10 + c;
+                a[1] = 99;
+                a[i] += 5;
+                printf("%d %d %d %d\n", a[i], a[1][0], a[2][0], a[2][1]);
+                return 0;
+            }
+        """)
+        assert result.stdout == "25 99 25 21\n"
+
+    def test_partial_subscripts_of_a_3d_array(self):
+        result = assert_identical(r"""
+            #include <stdio.h>
+            int main() {
+                int t[2][3][4]; int i = 1; int j = 2;
+                for (int x = 0; x < 2; x++)
+                    for (int y = 0; y < 3; y++)
+                        for (int z = 0; z < 4; z++) t[x][y][z] = x * 100 + y * 10 + z;
+                t[i][j][3] -= 1;
+                printf("%d %d %d %d\n", t[i], t[i][j], t[1][2][3], t[0][j][1]);
+                return t[i][j][4];
+            }
+        """)
+        assert result.stdout == "100 120 122 21\n"
+        assert result.fault == "array index 4 out of bounds for dimension of size 4"
+
+    def test_pointer_base_adds_every_subscript(self):
+        # the substrate's Pointer semantics: p[i][j] == p[i + j]
+        result = assert_identical(r"""
+            #include <stdio.h>
+            #include <stdlib.h>
+            int main() {
+                double *p = (double *)malloc(8 * sizeof(double));
+                int i = 2; int j = 3;
+                for (int k = 0; k < 8; k++) p[k] = k * 1.5;
+                p[i][j] = 42.0;
+                p[1][i] += 0.5;
+                printf("%g %g %g %g\n", p[i][j], p[5], p[3], p[0][1 + 1]);
+                return (int) p[i][j + 9];
+            }
+        """)
+        assert result.stdout == "42 42 5 3\n"
+        assert result.fault.startswith("out-of-bounds read at byte 112 of 64-byte")
+
+    def test_pointer_base_out_of_bounds_write_and_freed_block(self):
+        result = _fault_of("""
+            #include <stdlib.h>
+            int main() {
+                double *p = (double *)malloc(4 * sizeof(double));
+                int i = 3; int j = 1;
+                p[i][j] = 1.0;
+                return 0;
+            }
+        """)
+        assert result.fault.startswith("out-of-bounds write at byte 32 of 32-byte")
+        result = _fault_of("""
+            #include <stdlib.h>
+            int main() {
+                double *p = (double *)malloc(4 * sizeof(double));
+                int i = 1; int j = 1;
+                free(p);
+                return (int) p[i][j];
+            }
+        """)
+        assert result.fault == "read from freed heap block"
+
+    @pytest.mark.parametrize("statement", [
+        # 1-D fused and generic forms
+        "return a[q];",
+        "a[q] = 1; return 0;",
+        "return a[i ? q : q];",
+        # 2-D: each position, fused (slot operands) and generic
+        "return m[q][j];",
+        "return m[i][q];",
+        "return m[q][q];",
+        "m[q][j] = 1; return 0;",
+        "m[i][q] = 1; return 0;",
+        "m[q][j] += 1; return 0;",
+        "m[i][q] += 1; return 0;",
+        "return m[i ? q : q][j];",
+        "return m[i][i ? q : q];",
+        "return *&m[i][q];",
+        # subscripts are checked before the (NULL) base
+        "return z[q][j];",
+    ])
+    def test_uninitialized_subscript_in_each_position(self, statement):
+        result = _fault_of(f"""
+            int main() {{
+                int a[4]; int m[3][4]; int i = 1; int j = 2; int *q; int *z = 0;
+                {statement}
+            }}
+        """)
+        assert result.fault == "array subscript is uninitialized"
+
+    def test_null_base_of_fused_access(self):
+        result = _fault_of("int main() { int *z = 0; int i = 1; int j = 2; return z[i][j]; }")
+        assert result.fault == "subscript of NULL or uninitialized pointer"
+
+    def test_compound_on_uninitialized_cell(self):
+        result = assert_identical(r"""
+            #include <stdio.h>
+            int main() {
+                double m[2][3]; int cnt[2][2]; int i = 1; int j = 2;
+                m[i][j] += 2.5;
+                m[0][j] *= 3.0;
+                cnt[i][0] += 7;
+                cnt[i][i] -= 1;
+                printf("%g %g %d %d\n", m[i][j], m[0][2], cnt[1][0], cnt[1][1]);
+                return 0;
+            }
+        """)
+        assert result.stdout == "2.5 0 7 -1\n"
+
+    def test_address_of_element_round_trips(self):
+        result = assert_identical(r"""
+            #include <stdio.h>
+            int main() {
+                int a[3][4]; int i = 1; int j = 2;
+                for (int r = 0; r < 3; r++)
+                    for (int c = 0; c < 4; c++) a[r][c] = r * 10 + c;
+                int *p = &a[i][j];
+                *p = 77;
+                p[1] = 88;
+                int *row = &a[2][0];
+                a[i][j]++;
+                printf("%d %d %d %d %d\n", a[1][2], a[1][3], *p, row[3], *(&a[0][0] + 5));
+                return 0;
+            }
+        """)
+        assert result.stdout == "78 88 78 23 11\n"
+
+    def test_step_limit_inside_fused_access(self):
+        # sweep the limit across every tick of the fused 4-tick load,
+        # store and compound store (and the declarations around them):
+        # the timeout must land on the same step on every backend
+        source = """
+            int main() {
+                double m[2][3]; int i = 1; int j = 2; double x;
+                m[i][j] = 1.5;
+                m[i][j] += 2.0;
+                x = m[i][j];
+                return (int) x;
+            }
+        """
+        clean = assert_identical(source)
+        assert clean.returncode == 3
+        for limit in range(1, clean.steps):
+            result = assert_identical(source, step_limit=limit)
+            assert result.timed_out and result.steps == limit + 1
