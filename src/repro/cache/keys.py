@@ -35,9 +35,15 @@ def content_key(*parts: Any) -> str:
     return hasher.hexdigest()
 
 
-def compile_key(fingerprint: str, filename: str, source: str) -> str:
-    """Key for one compiler invocation."""
-    return content_key("compile", fingerprint, filename, source)
+def compile_key(fingerprint: str, language: str, source: str) -> str:
+    """Key for one compiled program: toolchain, source language, text.
+
+    The file name is deliberately not part of it.  It selects the
+    language (already a part) and appears only in diagnostic locations,
+    which :meth:`CompileResult.renamed` re-renders for the name asked
+    for, so one program compiled under two names is one entry.
+    """
+    return content_key("compile", fingerprint, language, source)
 
 
 def execute_key(compile_content_key: str, step_limit: int) -> str:
@@ -45,7 +51,8 @@ def execute_key(compile_content_key: str, step_limit: int) -> str:
 
     The compiled AST is fully determined by the compile inputs, so the
     compile content key plus the executor's step limit addresses the
-    run outcome.
+    run outcome.  The runtime never reads a file name or a source
+    location, so a renamed copy of a program shares its run.
     """
     return content_key("execute", compile_content_key, step_limit)
 

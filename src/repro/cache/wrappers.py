@@ -11,7 +11,7 @@ identical to a recompute.
 
 from __future__ import annotations
 
-from repro.cache.keys import compile_key, execute_key, judge_key
+from repro.cache.keys import execute_key, judge_key
 from repro.cache.store import ResultCache
 from repro.compiler.driver import Compiler, CompileResult
 from repro.corpus.generator import TestFile
@@ -23,14 +23,22 @@ from repro.runtime.executor import ExecutionResult, Executor
 class CachingCompiler:
     """Content-addressed cache in front of :class:`Compiler`.
 
+    Keyed on the program (:meth:`Compiler.program_key`: toolchain
+    fingerprint, language, source), not the file name, so a renamed
+    copy of a program — negative probing's unchanged half, a repeated
+    request — is a hit.  A hit under another name comes back
+    :meth:`~CompileResult.renamed`: its file name and ``stderr`` are
+    exactly those of a fresh compile under the name asked for.
+
     Values carry live AST objects (the execute stage consumes
     ``CompileResult.unit``), so this namespace is memory-only.
 
-    The closure execution backend memoizes its lowered program on the
-    unit object itself (``repro.runtime.compilebody.lower_unit``), so a
-    compile-cache hit also carries the lowered closures: repeated
-    executions of one unit — worker scaling, ablations, Part-Two
-    re-judging — skip both parsing *and* lowering.
+    The fast execution backends (closure, codegen) memoize their
+    lowered program on the unit object itself
+    (``repro.runtime.compilebody.lower_unit``), so a compile-cache hit
+    also carries the lowered program: repeated executions of one unit
+    — worker scaling, ablations, Part-Two re-judging — skip both
+    parsing *and* lowering.
     """
 
     def __init__(self, inner: Compiler, cache: ResultCache):
@@ -42,22 +50,27 @@ class CachingCompiler:
         return self.inner.model
 
     def compile(self, source: str, filename: str = "<input>") -> CompileResult:
-        key = compile_key(self.inner.fingerprint(), filename, source)
-        return self.cache.get_or_compute(key, lambda: self.inner.compile(source, filename))
+        key = self.inner.program_key(source, filename)
+        result = self.cache.get_or_compute(key, lambda: self.inner.compile(source, filename))
+        return result.renamed(filename)
 
 
 class CachingExecutor:
     """Content-addressed cache in front of :class:`Executor`.
 
     Keyed on the compile result's content key (which pins toolchain,
-    filename and source) plus the step limit; results are plain data,
-    so this namespace persists to disk.  Results without a content key
-    (hand-built in tests) execute uncached.
+    language and source, not the file name) plus the step limit;
+    results are plain data, so this namespace persists to disk.
+    Results without a content key (hand-built in tests) execute
+    uncached.  Entries persisted before the key dropped the file name
+    are never looked up again: an existing cache directory runs cold
+    once.
 
-    The execution *backend* is deliberately NOT part of the key: the
-    walk and closure backends are observationally identical (asserted
-    corpus-wide by ``tests/test_backend_equivalence.py``), so results
-    computed under either warm-start the other.
+    The execution *backend* is deliberately NOT part of the key: every
+    registered backend (walk, closure, codegen) is observationally
+    identical (asserted corpus-wide by
+    ``tests/test_backend_equivalence.py``), so results computed under
+    any one warm-start the others.
     """
 
     def __init__(self, inner: Executor, cache: ResultCache):

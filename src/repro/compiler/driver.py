@@ -9,12 +9,12 @@ the analyzed AST (the "object file") for the execution stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cache.keys import compile_key
 from repro.compiler import astnodes as ast
 from repro.compiler.cparser import Parser
-from repro.compiler.diagnostics import DiagnosticEngine, TooManyErrors
+from repro.compiler.diagnostics import Diagnostic, DiagnosticEngine, TooManyErrors
 from repro.compiler.fortran import FortranFrontEnd
 from repro.compiler.lexer import Lexer
 from repro.compiler.preprocessor import Preprocessor
@@ -66,10 +66,13 @@ class CompileResult:
     diagnostic_codes: list[str] = field(default_factory=list)
     error_count: int = 0
     warning_count: int = 0
-    #: content address of (toolchain fingerprint, filename, source);
+    #: content address of the program: toolchain fingerprint, language
+    #: and source, but not the file name (see :meth:`Compiler.program_key`);
     #: empty for results built outside a Compiler (tests, environment
     #: substitutions) — downstream caches skip such results.
     content_key: str = ""
+    #: the diagnostics ``stderr`` was rendered from
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -77,6 +80,30 @@ class CompileResult:
 
     def has_code(self, code: str) -> bool:
         return code in self.diagnostic_codes
+
+    def renamed(self, filename: str) -> "CompileResult":
+        """This result as a compile of the same program named ``filename``.
+
+        Only ``filename``, the diagnostics' locations and the ``stderr``
+        rendered from them name the file; the AST and its analysis are
+        shared as they are, since nothing after compile reads their
+        locations.  The language is part of the program key, so the
+        caller guarantees ``filename`` maps to the same language.
+        """
+        if filename == self.filename:
+            return self
+        diagnostics = [
+            replace(d, location=replace(d.location, filename=filename))
+            if d.location is not None and d.location.filename == self.filename
+            else d
+            for d in self.diagnostics
+        ]
+        return replace(
+            self,
+            filename=filename,
+            diagnostics=diagnostics,
+            stderr=DiagnosticEngine(diagnostics=diagnostics).render_stderr(),
+        )
 
 
 class Compiler:
@@ -107,6 +134,15 @@ class Compiler:
     def fingerprint(self) -> str:
         """Configuration identity for content-addressed caching."""
         return f"compiler:{self.model}:{self.openmp_max_version}"
+
+    def program_key(self, source: str, filename: str) -> str:
+        """Content address of compiling ``source`` as ``filename``.
+
+        The one place the compile key is computed: results carry it as
+        :attr:`CompileResult.content_key` and the compile cache looks
+        them up by it.  Only the file name's language enters the key.
+        """
+        return compile_key(self.fingerprint(), detect_language(filename), source)
 
     def language_macros(self) -> dict[str, str]:
         macros = {"__LINE__": "0", "__STDC__": "1"}
@@ -148,7 +184,7 @@ class Compiler:
         stderr = diags.render_stderr()
         returncode = 0 if not diags.has_errors else (1 if diags.error_count < diags.error_limit else 2)
         return CompileResult(
-            content_key=compile_key(self.fingerprint(), filename, source),
+            content_key=self.program_key(source, filename),
             returncode=returncode,
             stdout="",
             stderr=stderr,
@@ -159,4 +195,5 @@ class Compiler:
             diagnostic_codes=diags.codes(),
             error_count=diags.error_count,
             warning_count=diags.warning_count,
+            diagnostics=list(diags.diagnostics),
         )

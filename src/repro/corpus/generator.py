@@ -133,10 +133,10 @@ class CorpusGenerator:
     def _check(self, test: TestFile, compiler: Compiler, executor: Executor) -> bool:
         compiled = compiler.compile(test.source, test.name)
         if not compiled.ok:
-            self._validation_failures.append(
-                f"{test.name}: compile rc={compiled.returncode}: "
-                + compiled.stderr.splitlines()[0] if compiled.stderr else ""
-            )
+            failure = f"{test.name}: compile rc={compiled.returncode}"
+            if compiled.stderr:
+                failure += ": " + compiled.stderr.splitlines()[0]
+            self._validation_failures.append(failure)
             return False
         result = executor.run(compiled)
         if not result.ok:

@@ -118,9 +118,10 @@ class _JudgeBase:
         completion_tokens = 0
         for attempt in range(self.max_retries + 1):
             attempts = attempt + 1
-            response = self.model.generate(prompt, attempt=attempt)
-            prompt_tokens += self.model.tokenizer.count(prompt)
-            completion_tokens += self.model.tokenizer.count(response)
+            completion = self.model.generate(prompt, attempt=attempt)
+            prompt_tokens += completion.prompt_tokens
+            completion_tokens += completion.completion_tokens
+            response = str(completion)
             parsed = parse_judgment(response)
             if parsed.ok and parsed.strict:
                 break

@@ -70,6 +70,24 @@ class GenerationStats:
                 self.malformed_responses += 1
 
 
+class Completion(str):
+    """A completion's text, carrying the token counts of its call.
+
+    ``prompt_tokens`` counts the prompt as the caller passed it, before
+    context truncation; ``completion_tokens`` counts this text.  Callers
+    that account tokens read them here instead of counting again.
+    """
+
+    prompt_tokens: int
+    completion_tokens: int
+
+    def __new__(cls, text: str, prompt_tokens: int, completion_tokens: int) -> "Completion":
+        self = super().__new__(cls, text)
+        self.prompt_tokens = prompt_tokens
+        self.completion_tokens = completion_tokens
+        return self
+
+
 @dataclass
 class _ParsedPrompt:
     code: str
@@ -113,20 +131,26 @@ class DeepSeekCoderSim:
 
     # ------------------------------------------------------------------
 
-    def generate(self, prompt: str, attempt: int = 0) -> str:
-        """One chat completion for ``prompt``."""
-        prompt = self.tokenizer.truncate(prompt, self.max_context_tokens)
-        rng = self._rng_for(prompt, attempt)
-        parsed = self._parse_prompt(prompt)
+    def generate(self, prompt: str, attempt: int = 0) -> Completion:
+        """One chat completion for ``prompt``.
+
+        :attr:`stats` records the tokens of the prompt as ingested
+        (after truncation); the returned :class:`Completion` carries
+        those of the prompt as given.  Each text is counted once.
+        """
+        context = self.tokenizer.truncate(prompt, self.max_context_tokens)
+        prompt_tokens = self.tokenizer.count(prompt)
+        context_tokens = prompt_tokens if context == prompt else self.tokenizer.count(context)
+        rng = self._rng_for(context, attempt)
+        parsed = self._parse_prompt(context)
         profile = profile_for(parsed.flavor or "acc", parsed.mode)
         signals = self.analyzer.analyze(parsed.code)
         decision = self._decide(parsed, signals, profile, rng)
         malformed = attempt == 0 and rng.random() < profile.malformed_response_rate
         response = self._render(parsed, signals, decision, rng, malformed)
-        self.stats.record(
-            self.tokenizer.count(prompt), self.tokenizer.count(response), malformed
-        )
-        return response
+        completion_tokens = self.tokenizer.count(response)
+        self.stats.record(context_tokens, completion_tokens, malformed)
+        return Completion(response, prompt_tokens, completion_tokens)
 
     # ------------------------------------------------------------------
 

@@ -1,7 +1,9 @@
 """Unit tests for the content-addressed result cache layer."""
 
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +20,12 @@ from repro.cache.wrappers import (
     CachingExecutor,
 )
 from repro.compiler.driver import Compiler
-from repro.corpus.generator import TestFile
+from repro.corpus.generator import EXTENSIONS, TestFile
+from repro.corpus.templates import TEMPLATES, TemplateContext
 from repro.judge.llmj import AgentLLMJ, DirectLLMJ, JudgeResult
 from repro.llm.model import DeepSeekCoderSim
 from repro.pipeline.engine import PipelineConfig, ValidationPipeline
+from repro.probing.mutators import MutationError, mutator_for_issue
 from repro.runtime.executor import Executor
 
 
@@ -30,10 +34,17 @@ class TestKeys:
         assert content_key("a", 1, {"x": [1, 2]}) == content_key("a", 1, {"x": [1, 2]})
 
     def test_key_depends_on_every_part(self):
-        base = compile_key("compiler:acc:4.5", "t.c", "int main(){}")
-        assert base != compile_key("compiler:omp:4.5", "t.c", "int main(){}")
-        assert base != compile_key("compiler:acc:4.5", "u.c", "int main(){}")
-        assert base != compile_key("compiler:acc:4.5", "t.c", "int main(){return 1;}")
+        base = compile_key("compiler:acc:4.5", "c", "int main(){}")
+        assert base != compile_key("compiler:omp:4.5", "c", "int main(){}")
+        assert base != compile_key("compiler:acc:4.5", "c++", "int main(){}")
+        assert base != compile_key("compiler:acc:4.5", "c", "int main(){return 1;}")
+
+    def test_program_key_ignores_the_file_name_but_not_its_language(self):
+        compiler = Compiler("acc")
+        base = compiler.program_key("int main(){}", "t.c")
+        assert base == compiler.program_key("int main(){}", "dir/u__issue5.c")
+        assert base == compile_key(compiler.fingerprint(), "c", "int main(){}")
+        assert base != compiler.program_key("int main(){}", "t.cpp")
 
     def test_part_boundaries_matter(self):
         assert content_key("ab", "c") != content_key("a", "bc")
@@ -94,12 +105,99 @@ class TestCachingCompiler:
         assert first is second
         assert store.hits == 1 and store.misses == 1
 
-    def test_different_filename_misses(self, valid_acc_source):
+    def test_renamed_source_hits(self, valid_acc_source):
         store = ResultCache("compile")
         compiler = CachingCompiler(Compiler("acc"), store)
-        compiler.compile(valid_acc_source, "t.c")
-        compiler.compile(valid_acc_source, "u.c")
-        assert store.misses == 2
+        first = compiler.compile(valid_acc_source, "t.c")
+        second = compiler.compile(valid_acc_source, "u.c")
+        assert store.misses == 1 and store.hits == 1
+        assert (first.filename, second.filename) == ("t.c", "u.c")
+        assert second.unit is first.unit  # the program is shared, not recompiled
+
+    def test_language_fingerprint_and_source_miss(self, valid_acc_source):
+        store = ResultCache("compile")
+        acc = CachingCompiler(Compiler("acc"), store)
+        omp = CachingCompiler(Compiler("omp"), store)
+        acc.compile(valid_acc_source, "t.c")
+        acc.compile(valid_acc_source, "t.cpp")
+        omp.compile(valid_acc_source, "t.c")
+        acc.compile(valid_acc_source + "\n", "t.c")
+        assert store.misses == 4 and store.hits == 0
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(None, id="accepted"),
+            pytest.param("int main() {\n  int x = ;\n  return y;\n}\n", id="rejected"),
+            pytest.param("#warning careful\nint main() { return 0; }\n", id="warned"),
+        ],
+    )
+    def test_relabelled_result_equals_fresh_compile(self, source, valid_acc_source):
+        source = source or valid_acc_source
+        compiler = CachingCompiler(Compiler("acc"), ResultCache("compile"))
+        compiler.compile(source, "first.c")
+        relabelled = compiler.compile(source, "second.c")
+        fresh = Compiler("acc").compile(source, "second.c")
+        assert observable(relabelled) == observable(fresh)
+        assert "first.c" not in relabelled.stderr
+        if not fresh.ok:
+            assert "second.c:2:" in relabelled.stderr
+
+
+def observable(result) -> dict:
+    """Every field of a compile result except the AST and its analysis,
+    which a cache hit shares with the first compile of the program."""
+    return {
+        f.name: getattr(result, f.name)
+        for f in dataclasses.fields(result)
+        if f.name not in ("unit", "info")
+    }
+
+
+def _renders_and_mutants() -> list[TestFile]:
+    """One render of every template per (model, language), each followed
+    by its mutant for every applicable issue (0-4)."""
+    rng = random.Random(5)
+    out = []
+    for spec in TEMPLATES:
+        for model in spec.models:
+            for language in spec.languages:
+                ctx = TemplateContext(rng=rng, model=model, language=language)
+                test = TestFile(
+                    f"{model}_{spec.name}{EXTENSIONS[language]}", language, model,
+                    spec.render(ctx), spec.name, spec.features,
+                )
+                out.append(test)
+                for issue in range(5):
+                    try:
+                        out.append(mutator_for_issue(issue).mutate(test, rng))
+                    except MutationError:
+                        continue
+    return out
+
+
+def test_renamed_hits_equal_fresh_results_corpus_wide():
+    """Compiling and running a program as A and then as B through the
+    caches gives exactly what a fresh compile and run as B gives."""
+    store = PipelineCache()
+    compilers = {m: CachingCompiler(Compiler(m), store.compile) for m in ("acc", "omp")}
+    executor = CachingExecutor(Executor(), store.execute)
+    rejected = executed = 0
+    for test in _renders_and_mutants():
+        renamed = f"renamed_{test.name}"
+        first = compilers[test.model].compile(test.source, test.name)
+        hit = compilers[test.model].compile(test.source, renamed)
+        fresh = Compiler(test.model).compile(test.source, renamed)
+        assert observable(hit) == observable(fresh), test.name
+        if not fresh.ok:
+            rejected += 1
+            continue
+        executor.run(first)
+        assert executor.run(hit) == Executor().run(fresh), test.name
+        executed += 1
+    assert store.compile.misses == rejected + executed
+    assert store.execute.misses == store.execute.hits == executed
+    assert rejected > 100 and executed > 100
 
 
 class TestCachingExecutor:

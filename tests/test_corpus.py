@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.compiler.driver import Compiler
+from repro.compiler.driver import Compiler, CompileResult
 from repro.corpus.features import OPENACC_FEATURES, OPENMP_FEATURES, catalog, features_at_or_below
 from repro.corpus.generator import CorpusGenerator, TestFile, _issue_name
 from repro.corpus.suite import TestSuite
@@ -94,6 +94,23 @@ class TestGenerator:
             compiled = compiler.compile(test.source, test.name)
             assert compiled.ok
             assert executor.run(compiled).returncode == 0
+
+    @pytest.mark.parametrize(
+        "stderr, recorded",
+        [
+            ("", "x.c: compile rc=2"),
+            ("x.c:1:1: error: no\n1 error generated.", "x.c: compile rc=2: x.c:1:1: error: no"),
+        ],
+    )
+    def test_rejected_compile_records_its_name(self, stderr, recorded):
+        class Rejecting:
+            def compile(self, source, filename):
+                return CompileResult(2, "", stderr, filename, "c")
+
+        generator = CorpusGenerator(seed=1)
+        test = TestFile("x.c", "c", "acc", "int main() { return 0; }", "t")
+        assert not generator._check(test, Rejecting(), Executor())
+        assert generator.validation_failures == [recorded]
 
 
 class TestTestFile:

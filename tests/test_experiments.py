@@ -7,6 +7,7 @@ from repro.corpus.generator import TestFile
 from repro.experiments import EnvironmentModel, ExperimentConfig, Experiments
 from repro.experiments import paperdata
 from repro.experiments.config import _SCALES
+from repro.runtime.executor import Executor
 
 
 class TestEnvironmentModel:
@@ -90,8 +91,34 @@ class TestConfig:
 
 
 @pytest.fixture(scope="module")
-def tiny_experiments():
-    return Experiments(ExperimentConfig(scale="tiny", seed=7, model_seed=5))
+def tiny_sweep():
+    """A cold tiny sweep (every table and figure), plus the program —
+    (language, source) — of every interpreter run it made, in order."""
+    experiments = Experiments(ExperimentConfig(scale="tiny", seed=7, model_seed=5))
+    programs = {}  # id(unit) -> (unit, language, source); the unit pins the id
+    runs = []
+    compile_, run = Compiler.compile, Executor.run
+
+    def compile_recording(self, source, filename="<input>"):
+        result = compile_(self, source, filename)
+        programs[id(result.unit)] = (result.unit, result.language, source)
+        return result
+
+    def run_recording(self, compiled):
+        runs.append(programs[id(compiled.unit)][1:])
+        return run(self, compiled)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Compiler, "compile", compile_recording)
+        patch.setattr(Executor, "run", run_recording)
+        experiments.all_tables()
+        experiments.all_figures()
+    return experiments, runs
+
+
+@pytest.fixture(scope="module")
+def tiny_experiments(tiny_sweep):
+    return tiny_sweep[0]
 
 
 class TestExperimentsTiny:
@@ -135,6 +162,14 @@ class TestExperimentsTiny:
     def test_caching_returns_same_objects(self, tiny_experiments):
         assert tiny_experiments.part1_report("acc") is tiny_experiments.part1_report("acc")
         assert tiny_experiments.part2_run("omp") is tiny_experiments.part2_run("omp")
+
+    def test_cold_sweep_runs_each_program_once(self, tiny_sweep):
+        """Every execute-cache miss is a program not run before: files
+        that differ only in name (probing's unchanged half) share a run."""
+        experiments, runs = tiny_sweep
+        assert len(runs) > 50
+        assert len(set(runs)) == len(runs)
+        assert experiments.cache.execute.misses == len(runs)
 
 
 class TestReportGeneration:

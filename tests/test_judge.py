@@ -167,6 +167,18 @@ class TestJudges:
                 retried += 1
         assert retried >= 1
 
+    def test_token_counts_cover_every_attempt(self, model, valid_acc_source):
+        judge = DirectLLMJ(model, "acc", max_retries=2)
+        tok = model.tokenizer
+        for i in range(30):
+            source = valid_acc_source.replace("3.0", f"{i + 2}.0")
+            result = judge.judge(TestFile(f"t{i}.c", "c", "acc", source, "x"))
+            prompt = direct_prompt(source, "acc")
+            assert result.prompt_tokens == result.attempts * len(tok.tokenize(prompt))
+            assert type(result.response) is str
+            if result.attempts == 1:
+                assert result.completion_tokens == len(tok.tokenize(result.response))
+
     def test_deterministic_verdicts(self, valid_acc_source):
         test = TestFile("t.c", "c", "acc", valid_acc_source, "x")
         r1 = DirectLLMJ(DeepSeekCoderSim(seed=9), "acc").judge(test)

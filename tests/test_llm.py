@@ -43,6 +43,15 @@ class TestTokenizer:
         tok = SimTokenizer()
         assert tok.truncate("short", 100) == "short"
 
+    def test_truncate_drops_non_ascii_letters_even_under_budget(self):
+        assert SimTokenizer().truncate("caf\u00e9 au lait", 100) == "caf au lait"
+
+    @pytest.mark.parametrize("max_piece", [1, 4, 6, 7])
+    def test_count_long_runs(self, max_piece):
+        tok = SimTokenizer(max_piece=max_piece)
+        for text in ("a" * 13, "1" * 14 + "x" * 6, "\u0663" * 9 + " " + "_" * 12, ""):
+            assert tok.count(text) == len(tok.tokenize(text))
+
 
 class TestKnowledge:
     def test_edit_distance_basics(self):
@@ -249,6 +258,20 @@ class TestModel:
         long_prompt = direct_prompt("int x;\n" * 4000, "acc")
         response = model.generate(long_prompt)
         assert isinstance(response, str)
+
+    def test_completion_carries_its_token_counts(self):
+        """The completion counts the prompt as given; the stats count
+        what the model ingested after truncation."""
+        model = DeepSeekCoderSim(seed=4, max_context_tokens=200)
+        tok = model.tokenizer
+        for prompt in (direct_prompt("int x;\n", "acc"), direct_prompt("int x;\n" * 4000, "acc")):
+            ingested = model.stats.prompt_tokens
+            completion = model.generate(prompt)
+            assert completion.prompt_tokens == len(tok.tokenize(prompt))
+            assert completion.completion_tokens == len(tok.tokenize(completion))
+            assert model.stats.prompt_tokens - ingested == len(
+                tok.tokenize(tok.truncate(prompt, 200))
+            )
 
     def test_malformed_rate_nonzero_over_many_prompts(self):
         model = DeepSeekCoderSim(seed=6)

@@ -18,6 +18,7 @@ from repro.compiler.astnodes import INT, DOUBLE
 
 import pytest
 import random
+import re
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,48 @@ def test_tokenizer_truncate_is_bounded(text):
 def test_tokenizer_count_subadditive(a, b):
     tok = SimTokenizer()
     assert tok.count(a + b) <= tok.count(a) + tok.count(b) + 1
+
+
+#: prompt-like text: identifier and number runs of any length (ASCII and
+#: Unicode digits), non-ASCII letters, whitespace, punctuation, anything
+_TOKENIZER_TEXT = st.lists(
+    st.one_of(
+        st.text(alphabet="abzXY_", min_size=1, max_size=20),
+        st.text(alphabet="0789\u0663\u096d\uff11", min_size=1, max_size=20),
+        st.text(alphabet="\u00e9\u00df\u03bb\u0436\u00b2", min_size=1, max_size=3),
+        st.text(alphabet=" \t\n", min_size=1, max_size=3),
+        st.sampled_from(list("{}();,+-*/#[]<>=!&|\"'")),
+        st.characters(),
+    ),
+    max_size=60,
+).map("".join)
+
+
+def _reference_truncate(text, max_tokens, max_piece):
+    """Chunk-by-chunk truncation, the way ``SimTokenizer.truncate``
+    defines it: whole chunks while the budget lasts, in order."""
+    kept, total = [], 0
+    for chunk in re.findall(r"[A-Za-z_]+|\d+|\s+|[^\w\s]", text):
+        n = 1 if chunk.isspace() else -(-len(chunk) // max_piece)
+        if total + n > max_tokens:
+            break
+        total += n
+        kept.append(chunk)
+    return "".join(kept)
+
+
+@given(_TOKENIZER_TEXT, st.integers(min_value=1, max_value=9))
+@settings(max_examples=300, deadline=None)
+def test_tokenizer_count_equals_len_of_tokenize(text, max_piece):
+    tok = SimTokenizer(max_piece=max_piece)
+    assert tok.count(text) == len(tok.tokenize(text))
+
+
+@given(_TOKENIZER_TEXT, st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=400))
+@settings(max_examples=300, deadline=None)
+def test_tokenizer_truncate_matches_the_chunk_loop(text, max_piece, budget):
+    tok = SimTokenizer(max_piece=max_piece)
+    assert tok.truncate(text, budget) == _reference_truncate(text, budget, max_piece)
 
 
 # ---------------------------------------------------------------------------
