@@ -111,11 +111,11 @@ def _main(argv: list[str] | None = None) -> int:
 
     def add_jobs_flag(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
-            "--jobs", type=positive_int, default=1, metavar="N",
+            "--jobs", type=positive_int, default=None, metavar="N",
             help="worker processes for the experiment matrix: fan "
                  "independent (part x flavor) cells over N processes "
                  "sharing execute/judge results via the on-disk cache "
-                 "(1 = sequential)",
+                 "(1 = sequential; default: the CPUs this process may use)",
         )
 
     p_validate = sub.add_parser("validate", help="validate candidate test files")
@@ -529,6 +529,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jobs(args: argparse.Namespace) -> int:
+    """``--jobs``, defaulting to the usable CPUs (resolved here, not in
+    the parser, so other commands never import the experiments)."""
+    from repro.experiments.sharding import usable_cpus
+
+    return args.jobs or usable_cpus()
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import ExperimentConfig, Experiments
 
@@ -537,12 +545,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.artifact is None:
         print("experiment: need an artifact name (or --resume DIR)", file=sys.stderr)
         return 2
+    jobs = _jobs(args)
     cache = _make_cache(args)
     try:
         exp = Experiments(
             ExperimentConfig(
                 scale=args.scale, seed=args.seed, cache_enabled=cache is not None,
-                cache_dir=args.cache_dir, execution_backend=args.backend, jobs=args.jobs,
+                cache_dir=args.cache_dir, execution_backend=args.backend, jobs=jobs,
             ),
             cache=cache,
         )
@@ -555,7 +564,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             if getattr(exp, name, None) is None:
                 print(f"unknown artifact {name!r}", file=sys.stderr)
                 return 2
-        if args.jobs > 1:
+        if jobs > 1:
             exp.prefetch(artifacts=names)
             _print_shard_summary(exp)
         for name in names:
@@ -600,7 +609,7 @@ def _cmd_experiment_durable(args: argparse.Namespace) -> int:
         )
         spec = ExperimentRunSpec(
             scale=args.scale, seed=args.seed, artifacts=tuple(names),
-            backend=args.backend, jobs=args.jobs,
+            backend=args.backend, jobs=_jobs(args),
         )
     cache = _make_cache(args)
     try:
@@ -639,7 +648,8 @@ def _print_shard_summary(exp) -> None:
     if snap["files_total"]:
         busy = sum(stage["busy_seconds"] for stage in snap["stages"].values())
         line += f"; {snap['files_total']} pipeline files, {busy:.1f}s stage-busy"
-    print(line)
+    # stderr: its timings vary run to run, and stdout is the artifact stream
+    print(line, file=sys.stderr)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -651,7 +661,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         exp = Experiments(
             ExperimentConfig(
                 scale=args.scale, cache_enabled=cache is not None,
-                cache_dir=args.cache_dir, execution_backend=args.backend, jobs=args.jobs,
+                cache_dir=args.cache_dir, execution_backend=args.backend,
+                jobs=_jobs(args),
             ),
             cache=cache,
         )

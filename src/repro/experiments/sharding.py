@@ -23,7 +23,8 @@ Protocol:
    set, ordered costliest-first (longest-processing-time scheduling,
    so the big Part-Two cells start before the small Part-One ones).
 2. :func:`run_cells` fans the cells over a process pool (``fork``
-   where available, ``spawn`` otherwise).  The worker entrypoint
+   where available, ``spawn`` otherwise; :func:`usable_cpus` is the
+   CLI's default pool size).  The worker entrypoint
    (:func:`run_cell`) is spawn-safe — a module-level function taking
    only picklable arguments: it rebuilds ``ExperimentConfig`` (with
    ``jobs=1`` — workers never recurse) and a per-process
@@ -33,8 +34,17 @@ Protocol:
    :mod:`repro.cache.store`).
 3. :func:`prefill` installs the returned reports into an
    :class:`~repro.experiments.runner.Experiments` instance, merges the
-   shared cache back into the parent's in-memory bundle, and
-   aggregates per-shard :class:`~repro.pipeline.stats.PipelineStats`.
+   shared cache back into the parent's in-memory bundle,
+   aggregates per-shard :class:`~repro.pipeline.stats.PipelineStats`,
+   and absorbs each cell's spans into the caller's tracer.
+
+Tracing: every cell runs under an ``experiments.cell`` span.  When the
+caller has a tracer installed, :func:`run_cells` ships its current
+span context to each worker; the worker records into a fresh
+:class:`~repro.obs.trace.Tracer` (so spans the parent finished before
+a fork never travel back), roots the cell span at the shipped context
+and returns its spans in :attr:`CellResult.spans` — the same protocol
+as the daemon's worker pool.
 
 Determinism: cells are seeded and self-contained (each worker builds
 its own model/generator from the config seeds), so a sharded run
@@ -51,11 +61,12 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.atomicio import atomic_write_bytes
 from repro.experiments.config import ExperimentConfig
+from repro.obs import trace
 from repro.pipeline.stats import PipelineStats
 from repro.testing.faultinject import fault_point
 
@@ -158,6 +169,8 @@ class CellResult:
     Everything here crosses a process boundary by pickle; ``run`` is
     the runner's ``_Part2Run`` (reports, population, pipeline result —
     all plain data; stage stats drop their locks in ``__getstate__``).
+    ``spans`` holds the worker's finished spans as JSON dicts (empty
+    when the cell ran in the caller's process or untraced).
     """
 
     cell: Cell
@@ -166,10 +179,14 @@ class CellResult:
     stats: PipelineStats | None = None
     seconds: float = 0.0
     cache_summary: dict | None = None
+    spans: list = field(default_factory=list)
 
 
 def run_cell(
-    config: ExperimentConfig, cell: Cell, cache_dir: str | None = None
+    config: ExperimentConfig,
+    cell: Cell,
+    cache_dir: str | None = None,
+    trace_parent: trace.TraceContext | None = None,
 ) -> CellResult:
     """Compute one cell in *this* process (the spawn-safe entrypoint).
 
@@ -178,7 +195,8 @@ def run_cell(
     cache is repointed at ``cache_dir``, the run's shared on-disk
     store, so sibling shards exchange execute/judge hits through the
     lock-protected merge-on-save path instead of clobbering each
-    other.
+    other.  The work runs under an ``experiments.cell`` span on the
+    ambient tracer, parented at ``trace_parent`` when one is given.
     """
     from repro.experiments.runner import Experiments
 
@@ -187,15 +205,16 @@ def run_cell(
         jobs=1,
         cache_dir=cache_dir if cache_dir is not None else config.cache_dir,
     )
-    exp = Experiments(worker_config)
-    t0 = time.perf_counter()
-    if cell.kind == "part1":
-        report = exp.part1_report(cell.flavor)
-        run = stats = None
-    else:
-        run = exp.part2_run(cell.flavor, languages=cell.languages, tag=cell.tag)
-        report = None
-        stats = run.pipeline1.stats
+    with trace.span("experiments.cell", parent=trace_parent, cell=cell.name):
+        exp = Experiments(worker_config)
+        t0 = time.perf_counter()
+        if cell.kind == "part1":
+            report = exp.part1_report(cell.flavor)
+            run = stats = None
+        else:
+            run = exp.part2_run(cell.flavor, languages=cell.languages, tag=cell.tag)
+            report = None
+            stats = run.pipeline1.stats
     return CellResult(
         cell=cell,
         report=report,
@@ -204,6 +223,28 @@ def run_cell(
         seconds=time.perf_counter() - t0,
         cache_summary=exp.cache.summary() if exp.cache is not None else None,
     )
+
+
+def _run_cell_shipped(
+    config: ExperimentConfig,
+    cell: Cell,
+    cache_dir: str | None,
+    traced: bool,
+    trace_parent: trace.TraceContext | None,
+) -> CellResult:
+    """The pool's entrypoint: :func:`run_cell`, plus its spans shipped
+    home when the caller traces.
+
+    A fresh tracer replaces whatever a ``fork`` inherited, so only
+    spans this cell records are returned.
+    """
+    if not traced:
+        return run_cell(config, cell, cache_dir)
+    tracer = trace.Tracer()
+    with trace.installed(tracer):
+        result = run_cell(config, cell, cache_dir, trace_parent)
+    result.spans = [span.to_json() for span in tracer.drain()]
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +265,9 @@ def save_cell_result(run_dir: str | Path, result: CellResult) -> Path:
     resuming from these checkpoints cannot change the output.
     """
     path = _cell_checkpoint_path(run_dir, result.cell.name)
-    atomic_write_bytes(path, pickle.dumps(result), fault_tag="experiment-cell")
+    # spans belong to the run that recorded them, not to a resume
+    payload = pickle.dumps(replace(result, spans=[]))
+    atomic_write_bytes(path, payload, fault_tag="experiment-cell")
     fault_point("experiment:post-cell")
     return path
 
@@ -253,6 +296,15 @@ def load_cell_results(run_dir: str | Path) -> dict[str, CellResult]:
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    has one, else the machine's count.  The CLI's default ``--jobs``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def default_start_method() -> str:
@@ -308,11 +360,17 @@ def run_cells(
     order = sorted(
         range(len(cells)), key=lambda i: estimated_cost(config, cells[i]), reverse=True
     )
+    # workers trace only when the caller does; the shipped context
+    # parents their cell spans under the caller's current span
+    traced, trace_parent = trace.active() is not None, trace.current()
     ctx = multiprocessing.get_context(start_method or default_start_method())
     with package_root_on_pythonpath():
         with ctx.Pool(processes=min(jobs, len(cells))) as pool:
             pending = {
-                i: pool.apply_async(run_cell, (config, cells[i], cache_dir))
+                i: pool.apply_async(
+                    _run_cell_shipped,
+                    (config, cells[i], cache_dir, traced, trace_parent),
+                )
                 for i in order
             }
             # collect in submission (roughly completion) order so each
@@ -399,7 +457,10 @@ def prefill(
             checkpoint_dir=checkpoint_dir, stop=stop,
         )
         aggregate = PipelineStats()
+        tracer = trace.active()
         for result in results:
+            if tracer is not None and result.spans:
+                tracer.absorb(result.spans)
             _install(experiments, result)
             if result.stats is not None:
                 aggregate.merge(result.stats)

@@ -97,6 +97,34 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_experiment_stdout_is_the_same_at_any_jobs(self, capsys):
+        """Sharding changes where cells run, not the artifact stream:
+        stdout matches line for line (bar the cache summary), and the
+        timed ``sharding:`` line goes to stderr."""
+
+        def run(jobs: str) -> tuple[list[str], str]:
+            rc = cli_main(["experiment", "table3", "--scale", "tiny", "--jobs", jobs])
+            assert rc == 0
+            out, err = capsys.readouterr()
+            return [line for line in out.splitlines() if not line.startswith("cache:")], err
+
+        sequential, sequential_err = run("1")
+        sharded, sharded_err = run("2")
+        assert sharded == sequential
+        assert not any(line.startswith("sharding:") for line in sharded)
+        assert "sharding: 2 jobs (" in sharded_err
+        assert "sharding:" not in sequential_err
+
+    def test_jobs_defaults_to_the_usable_cpus(self, capsys, monkeypatch):
+        from repro.experiments import sharding
+
+        monkeypatch.setattr(sharding, "usable_cpus", lambda: 1)
+        assert cli_main(["experiment", "table3", "--scale", "tiny"]) == 0
+        assert "sharding:" not in capsys.readouterr().err  # 1 CPU: sequential
+        monkeypatch.setattr(sharding, "usable_cpus", lambda: 2)
+        assert cli_main(["experiment", "table3", "--scale", "tiny"]) == 0
+        assert "sharding: 2 jobs (" in capsys.readouterr().err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             cli_main([])

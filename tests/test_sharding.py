@@ -1,5 +1,7 @@
 """Unit and integration tests for the process-sharded experiment runner."""
 
+import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -20,6 +22,7 @@ from repro.experiments.sharding import (
     prefill,
     run_cell,
 )
+from repro.obs import trace
 from repro.pipeline.stats import PipelineStats, StageStats
 
 
@@ -197,3 +200,98 @@ class TestCellResultPickles:
         assert clone.run.llmj2_report == result.run.llmj2_report
         assert clone.stats.summary() == result.stats.summary()
         assert len(clone.run.pipeline1.records) == len(result.run.pipeline1.records)
+
+
+class TestUsableCpus:
+    def test_counts_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        assert sharding.usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert sharding.usable_cpus() == (os.cpu_count() or 1)
+
+
+class TestSpanShipping:
+    """Cell spans recorded in worker processes reach the caller's tracer."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_worker_spans_arrive_parented_once(self, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method here")
+        config = ExperimentConfig(scale="tiny")
+        tracer = trace.Tracer()
+        with trace.installed(tracer), tracer.span("caller") as caller:
+            # finished before the pool forks: a fork inherits it
+            with tracer.span("before-fork"):
+                pass
+            results = sharding.run_cells(
+                config, [PART1_OMP, PART2_OMP], jobs=2, start_method=start_method
+            )
+        for result in results:
+            tracer.absorb(result.spans)
+        spans = tracer.spans
+        by_id = {span.span_id: span for span in spans}
+
+        assert len(by_id) == len(spans), "a span came back twice"
+        assert [s.name for s in spans].count("before-fork") == 1
+        assert all(result.spans for result in results)
+
+        cells = [s for s in spans if s.name == "experiments.cell"]
+        assert sorted(s.attrs["cell"] for s in cells) == ["part1:omp", "part2:omp"]
+        for cell in cells:
+            assert cell.parent_id == caller.span_id
+            assert cell.trace_id == caller.trace_id
+            assert cell.pid != os.getpid()
+
+        def cell_of(span):
+            while span.parent_id in by_id and span.name != "experiments.cell":
+                span = by_id[span.parent_id]
+            return span
+
+        stages = [s for s in spans if s.name.startswith("stage.")]
+        assert stages, "the Part-Two cell's pipeline recorded no stage spans"
+        for stage in stages:
+            owner = cell_of(stage)
+            assert owner.name == "experiments.cell"
+            assert owner.attrs["cell"] == "part2:omp"
+            assert stage.pid == owner.pid
+
+    def test_prefill_absorbs_cell_spans(self):
+        tracer = trace.Tracer()
+        exp = Experiments(ExperimentConfig(scale="tiny", jobs=2))
+        with trace.installed(tracer), tracer.span("caller"):
+            prefill(exp, artifacts=["table3"])
+        cells = [s for s in tracer.spans if s.name == "experiments.cell"]
+        assert len(cells) == 2
+        assert {s.pid for s in cells}.isdisjoint({os.getpid()})
+
+    def test_in_process_cells_open_the_same_span(self):
+        tracer = trace.Tracer()
+        with trace.installed(tracer), tracer.span("caller") as caller:
+            results = sharding.run_cells(
+                ExperimentConfig(scale="tiny"), [PART1_OMP], jobs=1
+            )
+        assert results[0].spans == []
+        cells = [s for s in tracer.spans if s.name == "experiments.cell"]
+        assert len(cells) == 1
+        assert cells[0].parent_id == caller.span_id
+        assert cells[0].pid == os.getpid()
+
+    def test_untraced_workers_ship_nothing(self):
+        results = sharding.run_cells(
+            ExperimentConfig(scale="tiny"), [PART1_ACC, PART1_OMP], jobs=2
+        )
+        assert [result.spans for result in results] == [[], []]
+
+    def test_checkpoints_drop_spans(self, tmp_path):
+        tracer = trace.Tracer()
+        with trace.installed(tracer), tracer.span("caller"):
+            sharding.run_cells(
+                ExperimentConfig(scale="tiny"), [PART1_ACC, PART1_OMP], jobs=2,
+                checkpoint_dir=tmp_path,
+            )
+        loaded = sharding.load_cell_results(tmp_path)
+        assert set(loaded) == {"part1:acc", "part1:omp"}
+        assert all(result.spans == [] for result in loaded.values())
